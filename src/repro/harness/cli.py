@@ -84,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run the sim-kernel throughput benchmark (events/sec and "
         "wall per simulated second across node counts) and write "
-        "<DIR>/BENCH_simkernel.json; compares against the committed "
-        "artifact's baseline when present",
+        "<DIR>/BENCH_simkernel.json; compares result hashes against the "
+        "committed artifact's cells when present",
     )
     parser.add_argument(
         "--simkernel-nodes",
@@ -360,11 +360,9 @@ def main(argv: "list[str] | None" = None) -> int:
         baseline = None
         if baseline_path is not None:
             raw = json.loads(pathlib.Path(baseline_path).read_text())
-            # The committed artifact embeds its own pre-rebuild baseline
-            # section; compare fresh runs against *that* so the speedup
-            # is always relative to the heapq kernel, while hashes are
-            # checked against the committed (current-kernel) cells too.
-            baseline = raw.get("baseline", raw)
+            # The reference's own cells (not any baseline section it
+            # embeds) are what a fresh run must reproduce.
+            baseline = raw
         data = run_simbench(node_counts, baseline=baseline)
         if args.simkernel_paper:
             from repro.harness.simbench import run_paper_proof

@@ -6,6 +6,7 @@ path's argument checking.
 """
 
 import json
+import pathlib
 
 import pytest
 
@@ -166,3 +167,21 @@ def test_cli_simkernel_nodes_parsing(tmp_path, monkeypatch):
     )
     assert code == 0
     assert seen["counts"] == [16, 32]
+
+
+@pytest.mark.parametrize("n_nodes", [16, 32])
+def test_cell_reproduces_committed_hash(n_nodes):
+    """A fresh cell reproduces the committed artifact's result hash.
+
+    The tiny-scale goldens cannot see protocol timing drift of a few
+    percent; these cells run at a fan-in where they can (the 16-node
+    cell is the one that catches a sender woken a hop early).
+    """
+    artifact = (
+        pathlib.Path(__file__).resolve().parents[2]
+        / "benchmarks" / "BENCH_simkernel.json"
+    )
+    committed = json.loads(artifact.read_text())
+    assert n_nodes in {c["n_nodes"] for c in committed["cells"]}
+    data = run_simbench([n_nodes])
+    assert compare_cells(data, committed) == []
