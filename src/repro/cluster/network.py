@@ -5,11 +5,16 @@ AN1000-20 has a port for every node), so the only shared resources are
 the per-node NIC transmit and receive sides.  A message transfer:
 
 1. waits for the sender's egress NIC,
-2. waits for the receiver's ingress NIC (this is where a single
-   memory-available node serving eight application nodes becomes the
-   bottleneck of Figure 3),
+2. waits for the receiver's ingress NIC while holding egress (this is
+   where a single memory-available node serving eight application nodes
+   becomes the bottleneck of Figure 3),
 3. holds both for the transmit time of payload + protocol overhead,
 4. is delivered one one-way latency later.
+
+A transfer is a chain of kernel callbacks, not a process: each step
+runs from the event that ends the previous one (the egress grant, the
+ingress grant, the transmit timeout), so every hop keeps the lane slot
+a process resume would have had and the schedule is the same.
 
 Bandwidth and latency come from :class:`~repro.cluster.specs.NicSpec`;
 defaults reproduce the paper's measured 120 Mbps / 0.5 ms RTT.
@@ -19,18 +24,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import NetworkError
 from repro.cluster.specs import ATM_155, NicSpec
+from repro.sim.events import Event
 from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Environment
 
-__all__ = ["Message", "Network", "NetworkStats", "PROTOCOL_OVERHEAD_BYTES"]
+__all__ = ["Message", "Network", "NetworkStats", "Transfer", "PROTOCOL_OVERHEAD_BYTES"]
 
 #: Per-message header cost: TCP/IP + LLC/SNAP encapsulation over AAL5
 #: (RFC 1483), rounded to a convenient constant.
@@ -124,11 +130,14 @@ class Network:
         """All registered nodes, in registration order."""
         return list(self._egress)
 
-    def transfer(self, msg: Message) -> Generator:
-        """Process generator moving ``msg`` across the network.
+    def transfer(self, msg: Message) -> "Transfer":
+        """Start moving ``msg`` across the network; returns its delivery.
 
-        Completes at the instant the message is fully delivered; the
-        yielded value is the message with timing fields filled in.
+        Egress is requested at once, inside the caller's resume.  The
+        returned event is processed the instant the message is fully
+        delivered, with the message (timing fields filled in) as its
+        value; the network's delivery accounting runs before any other
+        callback on it.
         """
         if msg.src not in self._egress:
             raise NetworkError(f"unknown source node {msg.src}")
@@ -138,51 +147,9 @@ class Network:
             raise NetworkError(f"node {msg.src} cannot send to itself over the network")
         if msg.size_bytes < 0:
             raise NetworkError(f"negative message size {msg.size_bytes}")
-
         msg.msg_id = next(self._msg_ids)
         msg.send_time = self.env.now
-
-        wire_bytes = msg.size_bytes + PROTOCOL_OVERHEAD_BYTES
-        tx_time = self.nic.transmit_time_s(wire_bytes)
-
-        while True:
-            egress = self._egress[msg.src].request()
-            yield egress
-            ingress = self._ingress[msg.dst].request()
-            yield ingress
-            try:
-                yield self.env.sleep(tx_time)
-            finally:
-                self._egress[msg.src].release(egress)
-                self._ingress[msg.dst].release(ingress)
-            if (
-                self.loss_probability > 0.0
-                and self._loss_rng.random() < self.loss_probability
-            ):
-                # Segment lost (UBR cell drop): TCP retransmits after RTO.
-                self.stats.retransmissions += 1
-                if self.bus is not None:
-                    self.bus.emit(
-                        "net-retransmit", msg.src,
-                        f"msg {msg.msg_id} -> node {msg.dst} lost on {msg.channel}",
-                        dst=msg.dst, channel=msg.channel,
-                    )
-                yield self.env.timeout(self.retransmission_timeout_s)
-                continue
-            break
-
-        yield self.env.sleep(self.nic.one_way_latency_s)
-        msg.deliver_time = self.env.now
-        self.stats.record(msg, wire_bytes)
-        if self.bus is not None:
-            self.bus.emit(
-                "net-msg", msg.src,
-                f"msg {msg.msg_id} -> node {msg.dst} on {msg.channel}",
-                dst=msg.dst, channel=msg.channel, size_bytes=msg.size_bytes,
-                wire_bytes=wire_bytes,
-                duration_s=msg.deliver_time - msg.send_time,
-            )
-        return msg
+        return Transfer(self, msg)
 
     def egress_queue_length(self, node_id: int) -> int:
         """Sends waiting on ``node_id``'s transmit side."""
@@ -191,3 +158,76 @@ class Network:
     def ingress_queue_length(self, node_id: int) -> int:
         """Deliveries waiting on ``node_id``'s receive side."""
         return len(self._ingress[node_id].queue)
+
+
+class Transfer(Event):
+    """One message crossing the network; the event of its delivery.
+
+    The steps run as callbacks on the events that end the one before:
+    the egress grant requests ingress (egress stays held), the ingress
+    grant starts the transmit timeout, and the timeout's end releases
+    both NICs and schedules this event one latency later — or, if the
+    attempt was lost, requests egress again after the retransmission
+    timeout, at the back of the FIFO.
+    """
+
+    __slots__ = (
+        "network", "msg", "wire_bytes", "tx_time",
+        "egress", "ingress", "egress_req", "ingress_req",
+    )
+
+    def __init__(self, network: Network, msg: Message) -> None:
+        super().__init__(network.env)
+        self.callbacks.append(self._delivered)  # type: ignore[union-attr]
+        self.network = network
+        self.msg = msg
+        self.wire_bytes = msg.size_bytes + PROTOCOL_OVERHEAD_BYTES
+        self.tx_time = network.nic.transmit_time_s(self.wire_bytes)
+        self.egress = network._egress[msg.src]
+        self.ingress = network._ingress[msg.dst]
+        self._request_egress()
+
+    def _request_egress(self, _event: object = None) -> None:
+        req = self.egress_req = self.egress.request()
+        req.callbacks.append(self._egress_granted)  # type: ignore[union-attr]
+
+    def _egress_granted(self, _event: Event) -> None:
+        req = self.ingress_req = self.ingress.request()
+        req.callbacks.append(self._ingress_granted)  # type: ignore[union-attr]
+
+    def _ingress_granted(self, _event: Event) -> None:
+        self.env.sleep(self.tx_time).callbacks.append(self._sent)  # type: ignore[union-attr]
+
+    def _sent(self, _event: Event) -> None:
+        self.egress.release(self.egress_req)
+        self.ingress.release(self.ingress_req)
+        net = self.network
+        msg = self.msg
+        if net.loss_probability > 0.0 and net._loss_rng.random() < net.loss_probability:
+            # Segment lost (UBR cell drop): TCP retransmits after RTO.
+            net.stats.retransmissions += 1
+            if net.bus is not None:
+                net.bus.emit(
+                    "net-retransmit", msg.src,
+                    f"msg {msg.msg_id} -> node {msg.dst} lost on {msg.channel}",
+                    dst=msg.dst, channel=msg.channel,
+                )
+            rto = self.env.sleep(net.retransmission_timeout_s)
+            rto.callbacks.append(self._request_egress)  # type: ignore[union-attr]
+            return
+        self._value = msg
+        self.env.schedule(self, delay=net.nic.one_way_latency_s)
+
+    def _delivered(self, _event: Event) -> None:
+        net = self.network
+        msg = self.msg
+        msg.deliver_time = self.env.now
+        net.stats.record(msg, self.wire_bytes)
+        if net.bus is not None:
+            net.bus.emit(
+                "net-msg", msg.src,
+                f"msg {msg.msg_id} -> node {msg.dst} on {msg.channel}",
+                dst=msg.dst, channel=msg.channel, size_bytes=msg.size_bytes,
+                wire_bytes=self.wire_bytes,
+                duration_s=msg.deliver_time - msg.send_time,
+            )

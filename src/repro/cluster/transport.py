@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 from repro.analysis.race import access as _race
 from repro.errors import NetworkError
 from repro.cluster.network import Message, Network
-from repro.sim.process import Process
+from repro.sim.events import URGENT, Event
 from repro.sim.store import Store, StoreGet, StorePut
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -159,13 +159,15 @@ class Transport:  # repro-lint: disable=RPL602
     ) -> Generator:
         """Process generator: transfer and deliver one message.
 
-        Completes once the message sits in the destination mailbox. Yield
-        it from a process for synchronous sends, or wrap it with
-        :meth:`post` for fire-and-forget.
+        Completes once the message sits in the destination mailbox.
+        Egress is requested inside the caller's resume; the caller then
+        waits on the message's mailbox put, which a full bounded mailbox
+        holds back.  Use :meth:`post` for fire-and-forget.
         """
         msg = Message(src=src, dst=dst, channel=channel, payload=payload, size_bytes=size_bytes)
-        yield from self.network.transfer(msg)
-        yield self.mailbox(dst, channel).put(msg)
+        put = StorePut(self.env, msg)
+        self._launch(msg, put)
+        yield put
         return msg
 
     def post(
@@ -175,13 +177,28 @@ class Transport:  # repro-lint: disable=RPL602
         channel: str,
         payload: object,
         size_bytes: int,
-    ) -> Process:
-        """Fire-and-forget send: runs as its own process.
+    ) -> StorePut:
+        """Fire-and-forget send; returns the message's mailbox put.
 
-        The sender still competes for its egress NIC, so back-to-back
-        posts from one node serialise realistically.
+        The transfer starts from a zero-delay urgent event, the slot a
+        newly started process would take, so back-to-back posts from
+        one node reach its egress NIC in post order.  The returned put
+        is processed once the message sits in the destination mailbox.
         """
-        return self.env.process(self.send(src, dst, channel, payload, size_bytes))
+        msg = Message(src=src, dst=dst, channel=channel, payload=payload, size_bytes=size_bytes)
+        put = StorePut(self.env, msg)
+        start = Event(self.env)
+        start.callbacks.append(lambda _event: self._launch(msg, put))  # type: ignore[union-attr]
+        start._value = None
+        self.env.schedule(start, URGENT)
+        return put
+
+    def _launch(self, msg: Message, put: StorePut) -> None:
+        """Put ``msg`` on the wire; offer ``put`` to its mailbox on delivery."""
+        delivered = self.network.transfer(msg)
+        delivered.callbacks.append(  # type: ignore[union-attr]
+            lambda _event: self.mailbox(msg.dst, msg.channel).offer(put)
+        )
 
     def recv(self, node_id: int, channel: str) -> StoreGet:
         """Event yielding the next :class:`Message` on the channel."""

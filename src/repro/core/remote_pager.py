@@ -108,7 +108,7 @@ class RemoteMemoryPager(Pager):
             src=src.node_id, dst=dst.node_id, channel="pager",
             payload=None, size_bytes=nbytes,
         )
-        yield from self.network.transfer(msg)
+        yield self.network.transfer(msg)
 
     @property
     def owner_id(self) -> int:
@@ -399,7 +399,7 @@ class RemoteUpdatePager(RemoteMemoryPager):
             src=self.owner_id, dst=holder, channel="updates",
             payload=None, size_bytes=self.cost.line_message_bytes(),
         )
-        yield from self.network.transfer(msg)
+        yield self.network.transfer(msg)
         holder_node = self.memory_nodes[holder]
         service = (
             self.cost.remote_update_service_base_s

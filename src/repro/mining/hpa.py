@@ -60,7 +60,6 @@ _EOF = "__eof__"
 #: Historical aliases — the result types are driver-independent now.
 HPAPassResult = PassResult
 HPAResult = RunResult
-_SendWindow = SendWindow
 
 
 @dataclass(frozen=True)
@@ -245,11 +244,9 @@ class HPARun(MiningDriver):
             yield from self.cluster[0].compute(
                 cost.cpu_count_per_itemset_s * n_dup * len(self.app_ids)
             )
-            window = SendWindow(self.env, self.config.send_window)
+            window = SendWindow(self.cluster.transport, self.config.send_window)
             for b in self.app_ids[1:]:
-                yield from window.post(
-                    self.cluster.transport.send(0, b, "eldlarge", None, vec_bytes)
-                )
+                yield from window.post(0, b, "eldlarge", None, vec_bytes)
             yield from window.drain()
 
         def receive_result(a: int) -> Generator:
@@ -346,7 +343,7 @@ class HPARun(MiningDriver):
         node = self.cluster[a]
         mgr = self.managers[a]
         cost = self.config.cost
-        window = SendWindow(self.env, self.config.send_window)
+        window = SendWindow(self.cluster.transport, self.config.send_window)
         items_per_msg = max(1, cost.message_block_bytes // ITEMSET_BYTES)
         buffers: dict[int, list] = {b: [] for b in self.app_ids if b != a}
 
@@ -391,10 +388,7 @@ class HPARun(MiningDriver):
                             del buf[:]
                             n_messages += 1
                             yield from window.post(
-                                self.cluster.transport.send(
-                                    a, owner, "count", payload,
-                                    cost.message_block_bytes,
-                                )
+                                a, owner, "count", payload, cost.message_block_bytes
                             )
             cpu = (
                 cost.cpu_generate_per_itemset_s * generated
@@ -407,11 +401,7 @@ class HPARun(MiningDriver):
         for b, buf in buffers.items():
             if buf:
                 n_messages += 1
-                yield from window.post(
-                    self.cluster.transport.send(
-                        a, b, "count", buf, ITEMSET_BYTES * len(buf)
-                    )
-                )
+                yield from window.post(a, b, "count", buf, ITEMSET_BYTES * len(buf))
         # Every payload must be delivered before any EOF departs: the
         # receiver closes its pass on the EOF count, and concurrent
         # in-window transfers give the (small, fast) EOF no causal order
@@ -420,9 +410,7 @@ class HPARun(MiningDriver):
         # rather than inheriting it from event-queue insertion order.
         yield from window.drain()
         for b in buffers:
-            yield from window.post(
-                self.cluster.transport.send(a, b, "count", _EOF, 16)
-            )
+            yield from window.post(a, b, "count", _EOF, 16)
         yield from window.drain()
         return n_messages
 
@@ -447,7 +435,7 @@ class HPARun(MiningDriver):
         node = self.cluster[a]
         mgr = self.managers[a]
         cost = self.config.cost
-        window = SendWindow(self.env, self.config.send_window)
+        window = SendWindow(self.cluster.transport, self.config.send_window)
         items_per_msg = max(1, cost.message_block_bytes // ITEMSET_BYTES)
         dests = [b for b in self.app_ids if b != a]
         streams = OwnerStreams(dests, items_per_msg)
@@ -478,10 +466,7 @@ class HPARun(MiningDriver):
                     ):
                         n_messages += 1
                         yield from window.post(
-                            self.cluster.transport.send(
-                                a, owner, "count", payload,
-                                cost.message_block_bytes,
-                            )
+                            a, owner, "count", payload, cost.message_block_bytes
                         )
             cpu = (
                 cost.cpu_generate_per_itemset_s * generated
@@ -492,18 +477,12 @@ class HPARun(MiningDriver):
 
         for b, payload in streams.residual():
             n_messages += 1
-            yield from window.post(
-                self.cluster.transport.send(
-                    a, b, "count", payload, ITEMSET_BYTES * len(payload)
-                )
-            )
+            yield from window.post(a, b, "count", payload, ITEMSET_BYTES * len(payload))
         # Deliver every payload before any EOF departs (per-connection
         # FIFO; see _sender_naive).
         yield from window.drain()
         for b in dests:
-            yield from window.post(
-                self.cluster.transport.send(a, b, "count", _EOF, 16)
-            )
+            yield from window.post(a, b, "count", _EOF, 16)
         yield from window.drain()
         kernel.apply_local_pairs(mgr, local_codes)
         kernel.fold_dup_pairs(dup_counts, dup_codes)
@@ -535,7 +514,7 @@ class HPARun(MiningDriver):
         mgr = self.managers[a]
         mm = mgr.mm_table
         cost = self.config.cost
-        window = SendWindow(self.env, self.config.send_window)
+        window = SendWindow(self.cluster.transport, self.config.send_window)
         items_per_msg = max(1, cost.message_block_bytes // ITEMSET_BYTES)
         pair_of = kernel.pair_of
         dests = [b for b in self.app_ids if b != a]
@@ -637,9 +616,7 @@ class HPARun(MiningDriver):
                         sent[b] = si + 1
                         n_messages += 1
                         yield from window.post(
-                            self.cluster.transport.send(
-                                a, b, "count", payload, cost.message_block_bytes
-                            )
+                            a, b, "count", payload, cost.message_block_bytes
                         )
                         if li < n_loc:
                             lmask[li:] = mm.resident_mask(loc_lines[li:])
@@ -668,17 +645,13 @@ class HPARun(MiningDriver):
                 payload = parts[0] if len(parts) == 1 else np.concatenate(parts)
                 n_messages += 1
                 yield from window.post(
-                    self.cluster.transport.send(
-                        a, b, "count", payload, ITEMSET_BYTES * len(payload)
-                    )
+                    a, b, "count", payload, ITEMSET_BYTES * len(payload)
                 )
         # Deliver every payload before any EOF departs (per-connection
         # FIFO; see _sender_naive).
         yield from window.drain()
         for b in dests:
-            yield from window.post(
-                self.cluster.transport.send(a, b, "count", _EOF, 16)
-            )
+            yield from window.post(a, b, "count", _EOF, 16)
         yield from window.drain()
         return n_messages
 
@@ -692,7 +665,7 @@ class HPARun(MiningDriver):
         node = self.cluster[a]
         mgr = self.managers[a]
         cost = self.config.cost
-        window = SendWindow(self.env, self.config.send_window)
+        window = SendWindow(self.cluster.transport, self.config.send_window)
         items_per_msg = max(1, cost.message_block_bytes // ITEMSET_BYTES)
         buffers: dict[int, list] = {b: [] for b in self.app_ids if b != a}
 
@@ -721,10 +694,7 @@ class HPARun(MiningDriver):
                             del buf[:]
                             n_messages += 1
                             yield from window.post(
-                                self.cluster.transport.send(
-                                    a, owner, "count", payload,
-                                    cost.message_block_bytes,
-                                )
+                                a, owner, "count", payload, cost.message_block_bytes
                             )
             cpu = (
                 cost.cpu_generate_per_itemset_s * generated
@@ -736,18 +706,12 @@ class HPARun(MiningDriver):
         for b, buf in buffers.items():
             if buf:
                 n_messages += 1
-                yield from window.post(
-                    self.cluster.transport.send(
-                        a, b, "count", buf, ITEMSET_BYTES * len(buf)
-                    )
-                )
+                yield from window.post(a, b, "count", buf, ITEMSET_BYTES * len(buf))
         # Deliver every payload before any EOF departs (per-connection
         # FIFO; see _sender_naive).
         yield from window.drain()
         for b in buffers:
-            yield from window.post(
-                self.cluster.transport.send(a, b, "count", _EOF, 16)
-            )
+            yield from window.post(a, b, "count", _EOF, 16)
         yield from window.drain()
         return n_messages
 
@@ -841,14 +805,12 @@ class HPARun(MiningDriver):
         if n_scanned:
             yield from node.compute(cost.cpu_determine_per_itemset_s * n_scanned)
         # Broadcast local large itemsets to the other application nodes.
-        window = SendWindow(self.env, self.config.send_window)
+        window = SendWindow(self.cluster.transport, self.config.send_window)
         payload_bytes = max(16, ITEMSET_BYTES * len(local_large))
         for b in self.app_ids:
             if b == a:
                 continue
-            yield from window.post(
-                self.cluster.transport.send(a, b, "large", None, payload_bytes)
-            )
+            yield from window.post(a, b, "large", None, payload_bytes)
         yield from window.drain()
         for _ in range(len(self.app_ids) - 1):
             yield self.cluster.transport.recv(a, "large")

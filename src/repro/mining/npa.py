@@ -254,11 +254,9 @@ class NPARun(MiningDriver):
             yield from self.cluster[0].compute(
                 cost.cpu_count_per_itemset_s * n_candidates * len(self.app_ids)
             )
-            window = SendWindow(self.env, self.config.send_window)
+            window = SendWindow(self.cluster.transport, self.config.send_window)
             for b in self.app_ids[1:]:
-                yield from window.post(
-                    self.cluster.transport.send(0, b, "npa-large", None, vec_bytes)
-                )
+                yield from window.post(0, b, "npa-large", None, vec_bytes)
             yield from window.drain()
 
         def receive(a: int) -> Generator:

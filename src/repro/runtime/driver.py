@@ -22,13 +22,14 @@ import numpy as np
 
 from repro.analysis.trace import TraceCollector, UtilizationSampler
 from repro.cluster.dynamics import scripted_shortage
+from repro.cluster.transport import Transport
 from repro.errors import MiningError
 from repro.obs import Telemetry, current_telemetry
 from repro.obs.telemetry import run_meta
 from repro.runtime.builder import ClusterRuntime, build_runtime
 from repro.runtime.config import RunConfig
 from repro.runtime.results import PassResult, RunResult
-from repro.sim import Environment
+from repro.sim import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datagen.corpus import TransactionDatabase
@@ -42,32 +43,54 @@ CPU_CHUNK = 512
 
 
 class SendWindow:
-    """Bounded number of in-flight asynchronous sends per process."""
+    """Bounded number of in-flight asynchronous sends per process.
 
-    def __init__(self, env: Environment, limit: int) -> None:
-        self.env = env
+    A send is in flight from its post until its mailbox put is
+    processed.  A sender that finds the window full (or drains it)
+    waits, and wakes two zero-delay hops after the put that frees it:
+    the slots a per-send process's exit event and a condition over those
+    processes would take, which fix where the sender's next egress
+    request lands among same-instant requests.
+    """
+
+    def __init__(self, transport: Transport, limit: int) -> None:
+        self.transport = transport
+        self.env = transport.env
         self.limit = limit
-        self._inflight: list = []
+        self._inflight = 0
+        #: The waiting sender's wake-up event and the in-flight count at
+        #: or below which it fires.
+        self._waiter: Optional[Event] = None
+        self._wake_at = 0
 
-    def post(self, gen: Generator) -> Generator:
-        """Launch ``gen`` as a process once a window slot frees up."""
-        inflight = self._inflight
-        if len(inflight) >= self.limit:
-            # Compact lazily: dead entries only matter once the window
-            # looks full, and any_of must never see an already-dead
-            # process.
-            inflight[:] = [p for p in inflight if p.is_alive]
-            while len(inflight) >= self.limit:
-                yield self.env.any_of(inflight)
-                inflight[:] = [p for p in inflight if p.is_alive]
-        inflight.append(self.env.process(gen))
+    def post(
+        self, src: int, dst: int, channel: str, payload: object, size_bytes: int
+    ) -> Generator:
+        """Post one send (:meth:`Transport.post`) once a slot is free."""
+        if self._inflight >= self.limit:
+            yield self._wait(self.limit - 1)
+        self._inflight += 1
+        put = self.transport.post(src, dst, channel, payload, size_bytes)
+        put.callbacks.append(self._landed)  # type: ignore[union-attr]
 
     def drain(self) -> Generator:
-        """Wait for every posted send to finish."""
-        alive = [p for p in self._inflight if p.is_alive]
-        if alive:
-            yield self.env.all_of(alive)
-        self._inflight.clear()
+        """Wait for every posted send to land."""
+        if self._inflight:
+            yield self._wait(0)
+
+    def _wait(self, wake_at: int) -> Event:
+        self._wake_at = wake_at
+        self._waiter = Event(self.env)
+        return self._waiter
+
+    def _landed(self, _put: Event) -> None:
+        self._inflight -= 1
+        waiter = self._waiter
+        if waiter is not None and self._inflight <= self._wake_at:
+            self._waiter = None
+            hop = Event(self.env)
+            hop.callbacks.append(lambda _event: waiter.succeed())  # type: ignore[union-attr]
+            hop.succeed()
 
 
 class MiningDriver:
@@ -308,14 +331,12 @@ class MiningDriver:
         yield from node.compute(cost.cpu_count_per_itemset_s * part.total_items)
         counts = part.item_counts()
         # Exchange: send the count vector to every other application node.
-        window = SendWindow(self.env, self.config.send_window)
+        window = SendWindow(self.cluster.transport, self.config.send_window)
         vec_bytes = 4 * self.db.n_items
         for b in self.app_ids:
             if b == a:
                 continue
-            yield from window.post(
-                self.cluster.transport.send(a, b, self.pass1_channel, None, vec_bytes)
-            )
+            yield from window.post(a, b, self.pass1_channel, None, vec_bytes)
         yield from window.drain()
         # Receive the other nodes' vectors (timing only; the orchestrator
         # sums the real vectors).

@@ -17,7 +17,7 @@ from repro.sim.events import PENDING, Event
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Environment
 
-__all__ = ["Request", "Release", "Resource", "PriorityRequest", "PriorityResource"]
+__all__ = ["Request", "Resource", "PriorityRequest", "PriorityResource"]
 
 
 class Request(Event):
@@ -45,17 +45,6 @@ class Request(Event):
         self.resource._cancel(self)
 
 
-class Release(Event):
-    """Event representing the hand-back of a granted :class:`Request`."""
-
-    __slots__ = ("request",)
-
-    def __init__(self, resource: "Resource", request: Request) -> None:
-        super().__init__(resource.env)
-        self.request = request
-        resource._do_release(self)
-
-
 class Resource:
     """A capacity-``capacity`` semaphore with FIFO queueing.
 
@@ -71,14 +60,12 @@ class Resource:
         self._capacity = capacity
         self.users: list[Request] = []
         self.queue: deque[Request] = deque()
-        # Recycled event objects: a request/release cycle is the kernel's
-        # most allocated pattern (two events per claim), and a finished
-        # event is indistinguishable from a fresh one once its trigger
-        # state is reset.  Requests return to the pool when their release
-        # is handled (the claim is provably over); releases are reused
-        # one-deep on the next release() once processed.
+        # Recycled request objects: a claim is the kernel's most
+        # allocated pattern, and a finished request is indistinguishable
+        # from a fresh one once its trigger state is reset.  Requests
+        # return to the pool when they are released after their grant
+        # was processed (the claim is provably over).
         self._req_pool: list[Request] = []
-        self._last_release: "Release | None" = None
 
     @property
     def capacity(self) -> int:
@@ -110,32 +97,25 @@ class Resource:
             return req
         return Request(self)
 
-    def release(self, request: Request) -> Release:
-        """Give back a previously granted claim."""
-        rel = self._last_release
-        if rel is not None and rel.callbacks is None:
-            # The previous release was fully processed: reuse its event.
-            # Inlined _do_release + succeed (the recycled event is known
-            # untriggered; _ok stayed True).
-            rel.callbacks = []
-            rel._defused = False
-            rel.request = request
-            try:
-                self.users.remove(request)
-            except ValueError:
-                raise RuntimeError(
-                    f"{request!r} was not holding {self!r}"
-                ) from None
-            rel._value = None
-            self.env._normal.append(rel)
-            if self.queue:
-                self._grant_next()
-            if request.callbacks is None and type(request) is Request:
-                self._req_pool.append(request)
-            return rel
-        rel = Release(self, request)
-        self._last_release = rel
-        return rel
+    def release(self, request: Request) -> None:
+        """Give back a previously granted claim.
+
+        The hand-back schedules no event of its own: nothing ever waits
+        on it, and the next waiter's grant lands on the now-lane exactly
+        where it would behind one.
+        """
+        try:
+            self.users.remove(request)
+        except ValueError:
+            raise RuntimeError(f"{request!r} was not holding {self!r}") from None
+        if self.queue:
+            self._grant_next()
+        if request.callbacks is None and type(request) is Request:
+            # The grant was processed and the claim is over: nothing can
+            # reach this event again, so it is safe to recycle.  Exotic
+            # paths (release of a triggered-but-unprocessed grant,
+            # priority subclasses) simply skip the pool.
+            self._req_pool.append(request)
 
     # -- internals --------------------------------------------------------
 
@@ -145,23 +125,6 @@ class Resource:
             request.succeed()
         else:
             self.queue.append(request)
-
-    def _do_release(self, release: Release) -> None:
-        request = release.request
-        try:
-            self.users.remove(request)
-        except ValueError:
-            raise RuntimeError(
-                f"{request!r} was not holding {self!r}"
-            ) from None
-        release.succeed()
-        self._grant_next()
-        if request.callbacks is None and type(request) is Request:
-            # The grant was processed and the claim is over: nothing can
-            # reach this event again, so it is safe to recycle.  Exotic
-            # paths (release of a triggered-but-unprocessed grant,
-            # priority subclasses) simply skip the pool.
-            self._req_pool.append(request)
 
     def _grant_next(self) -> None:
         # One wake pass per release: grant every waiter a free unit can

@@ -21,20 +21,23 @@ __all__ = ["StorePut", "StoreGet", "Store", "FilterStore", "PriorityStore", "Pri
 
 
 class StorePut(Event):
-    """Pending insertion of ``item`` into a store (may block if bounded)."""
+    """Pending insertion of ``item`` into a store (may block if bounded).
 
-    __slots__ = ("store", "item", "_blocked_once")
+    :meth:`Store.put` builds one and offers it at once.  A put can also
+    be built ahead of its store — waiters subscribe straight away — and
+    offered later with :meth:`Store.offer` (the transport does this for
+    a message still on the wire).
+    """
 
-    def __init__(self, store: "Store", item: object) -> None:
-        super().__init__(store.env)
-        self.store = store
+    __slots__ = ("item", "_blocked_once")
+
+    def __init__(self, env: "Environment", item: object) -> None:
+        super().__init__(env)
         self.item = item
         #: Flag for backpressure accounting by bounded-store wrappers
         #: (e.g. the cluster mailbox): lets "this put blocked at least
         #: once" be counted exactly once across settlement rounds.
         self._blocked_once = False
-        store._put_queue.append(self)
-        store._trigger()
 
 
 class StoreGet(Event):
@@ -83,7 +86,13 @@ class Store:
 
     def put(self, item: object) -> StorePut:
         """Insert ``item``; the returned event succeeds when accepted."""
-        return StorePut(self, item)
+        return self.offer(StorePut(self.env, item))
+
+    def offer(self, put: StorePut) -> StorePut:
+        """Queue a put built ahead of time; returns it."""
+        self._put_queue.append(put)
+        self._trigger()
+        return put
 
     def get(self) -> StoreGet:
         """Request the next item; the returned event succeeds with it."""
@@ -114,6 +123,26 @@ class Store:
         return _NOTHING
 
     def _trigger(self) -> None:
+        put_queue = self._put_queue
+        get_queue = self._get_queue
+        if len(put_queue) <= 1 and len(get_queue) <= 1:
+            # At most one waiter per side — a deposit, with or without
+            # its receiver waiting — is the common case.  This is the
+            # loop below specialised to it, without the list rebuilds.
+            progressed = True
+            while progressed:
+                progressed = False
+                if put_queue:
+                    put_ev = put_queue[0]
+                    if put_ev.triggered or self._do_put(put_ev):
+                        put_queue.clear()
+                        progressed = True
+                if get_queue:
+                    get_ev = get_queue[0]
+                    if get_ev.triggered or self._do_get(get_ev):
+                        get_queue.clear()
+                        progressed = True
+            return
         # Alternate put/get settlement until neither side can progress.
         # Each pass rebuilds the queue from its survivors instead of
         # popping mid-list (quadratic under waiter floods); the scan

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import Message, Network, PROTOCOL_OVERHEAD_BYTES
+from repro.cluster import ATM_155, Message, Network, PROTOCOL_OVERHEAD_BYTES
 from repro.errors import NetworkError
 from repro.sim import Environment
 
@@ -17,7 +17,7 @@ def run_transfers(loss, n=200, rto=0.05, seed=1):
     def proc(env):
         for _ in range(n):
             msg = Message(src=0, dst=1, channel="t", payload=None, size_bytes=1024)
-            yield from net.transfer(msg)
+            yield net.transfer(msg)
 
     p = env.process(proc(env))
     env.run(until=p)
@@ -72,3 +72,39 @@ def test_bytes_counted_once_per_delivery():
     _, net = run_transfers(0.2, seed=5)
     assert net.stats.payload_bytes == 200 * 1024
     assert net.stats.wire_bytes == 200 * (1024 + PROTOCOL_OVERHEAD_BYTES)
+
+
+class _Draws:
+    """Stand-in loss RNG returning scripted draws."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
+
+
+def test_lost_message_rejoins_back_of_egress_fifo():
+    """A retransmission queues behind every send that asked for egress
+    while its timeout ran, not at the head it held before."""
+    env = Environment()
+    tx = ATM_155.transmit_time_s(1024 + PROTOCOL_OVERHEAD_BYTES)
+    net = Network(env, loss_probability=0.5, retransmission_timeout_s=tx / 2)
+    for i in range(4):
+        net.register(i)
+    net._loss_rng = _Draws([0.0, 0.9, 0.9, 0.9])  # only the first attempt is lost
+    msgs = [
+        Message(src=0, dst=dst, channel="t", payload=None, size_bytes=1024)
+        for dst in (1, 2, 3)
+    ]
+    for msg in msgs:
+        net.transfer(msg)  # egress is requested at once, in call order
+    env.run()
+
+    latency = ATM_155.one_way_latency_s
+    first, second, third = msgs
+    assert second.deliver_time == pytest.approx(2 * tx + latency)
+    assert third.deliver_time == pytest.approx(3 * tx + latency)
+    assert first.deliver_time == pytest.approx(4 * tx + latency)
+    assert net.stats.retransmissions == 1
+    assert net.stats.messages == 3

@@ -19,7 +19,7 @@ def send(env, net, src, dst, size):
     msg = Message(src=src, dst=dst, channel="t", payload=None, size_bytes=size)
 
     def proc(env, net, msg):
-        yield from net.transfer(msg)
+        yield net.transfer(msg)
         return msg
 
     return env.process(proc(env, net, msg))

@@ -29,7 +29,7 @@ def test_property_conservation_and_causality(flows):
     def send(env, src, dst, size, delay):
         yield env.timeout(delay)
         msg = Message(src=src, dst=dst, channel="p", payload=None, size_bytes=size)
-        yield from cluster.network.transfer(msg)
+        yield cluster.network.transfer(msg)
         delivered.append(msg)
 
     for src, dst, size, delay in flows:

@@ -175,7 +175,9 @@ def test_cell_reproduces_committed_hash(n_nodes):
 
     The tiny-scale goldens cannot see protocol timing drift of a few
     percent; these cells run at a fan-in where they can (the 16-node
-    cell is the one that catches a sender woken a hop early).
+    cell catches a window sender woken in the freeing put's own round
+    instead of two hops later, and NIC grants taken without their
+    grant event).
     """
     artifact = (
         pathlib.Path(__file__).resolve().parents[2]

@@ -175,3 +175,17 @@ def test_priority_ties_fifo():
     env.process(user(env, res, "b", 2))
     env.run()
     assert order == ["a", "b"]
+
+
+def test_release_schedules_no_event():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    req = res.request()
+    waiter = res.request()
+    env.run()
+    processed = env.events_processed
+    assert res.release(req) is None
+    env.run()
+    # Only the queued waiter's grant ran; the hand-back itself is free.
+    assert env.events_processed == processed + 1
+    assert res.users == [waiter]
